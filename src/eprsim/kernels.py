@@ -1,41 +1,51 @@
-"""Backend selection for the sequence enumeration kernel.
+"""Brute-force enumeration of outcome sequences, aggregated by count vector.
 
-The compiled extension is optional: if it failed to build, the NumPy
-fallback in ``_seqenum_py`` is used transparently. Both implement the
-identical contract and are cross-checked in the test suite.
+This is the ground truth that the multinomial route in ``branchstats`` is
+checked against, so it forms the product weight of every one of the k^n
+sequences instead of using a closed form.
+
+A sequence is split into a prefix and a suffix. The weights and count
+keys of all prefixes and of all suffixes are built once by outer
+products; a block of sequences is then a run of prefixes times every
+suffix, one more outer product, summed per count vector by one
+``np.bincount``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _seqenum_py
 from .errors import CapacityError
 
-try:
-    from . import _seqenum  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - depends on build environment
-    _seqenum = None
+# Sequences per block. Bounds the temporaries to a few megabytes and the
+# number of terms each block sum adds one after another, which keeps the
+# rounding error of a weight near 1e-14 even at 2^23 sequences.
+BLOCK = 1 << 16
 
-HAVE_COMPILED = _seqenum is not None
-
-# Dense accumulators are indexed by (n+1)**k count-vector keys; above this
-# the compiled kernel would allocate too much, so the sparse fallback runs.
+# Count-vector keys range over (n+1)**k slots. Up to this many, blocks are
+# summed into one dense table; above it, each block is reduced to its
+# distinct keys and the blocks are merged once at the end.
 DENSE_SLOT_LIMIT = 1 << 22
 
 DEFAULT_SEQUENCE_CAP = 10**7
 
 
-def backend() -> str:
-    """Name of the kernel used by default: 'compiled' or 'python'."""
-    return "compiled" if HAVE_COMPILED else "python"
+def _all_sequences(
+    p: np.ndarray, strides: np.ndarray, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Product weights and count-vector keys of all k**length sequences."""
+    weights = np.ones(1)
+    keys = np.zeros(1, dtype=np.int64)
+    for _ in range(length):
+        weights = np.multiply.outer(weights, p).ravel()
+        keys = np.add.outer(keys, strides).ravel()
+    return weights, keys
 
 
 def sequence_count_weights(
     p: np.ndarray,
     n: int,
     cap: int = DEFAULT_SEQUENCE_CAP,
-    implementation: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Aggregate weights of all k^n outcome sequences by count vector.
 
@@ -67,22 +77,30 @@ def sequence_count_weights(
             f"count-vector key space (n+1)**k = {slots} overflows 64-bit keys"
         )
 
-    if implementation == "auto":
-        use_compiled = HAVE_COMPILED and slots <= DENSE_SLOT_LIMIT
-    elif implementation == "compiled":
-        if not HAVE_COMPILED:
-            raise RuntimeError("compiled kernel is not available")
-        if slots > DENSE_SLOT_LIMIT:
-            raise CapacityError(
-                f"compiled kernel needs a dense table of {slots} slots, "
-                f"above the limit {DENSE_SLOT_LIMIT}"
-            )
-        use_compiled = True
-    elif implementation == "python":
-        use_compiled = False
-    else:
-        raise ValueError(f"unknown implementation {implementation!r}")
+    strides = (n + 1) ** np.arange(k, dtype=np.int64)
+    suffix_len = 0
+    while suffix_len < n and k ** (suffix_len + 1) <= BLOCK:
+        suffix_len += 1
+    w_pre, key_pre = _all_sequences(p, strides, n - suffix_len)
+    w_suf, key_suf = _all_sequences(p, strides, suffix_len)
+    rows = BLOCK // w_suf.size
 
-    if use_compiled:
-        return _seqenum.sequence_count_weights(p, n)
-    return _seqenum_py.sequence_count_weights(p, n, dense_limit=DENSE_SLOT_LIMIT)
+    dense = slots <= DENSE_SLOT_LIMIT
+    acc = np.zeros(slots) if dense else None
+    parts = []
+    for start in range(0, w_pre.size, rows):
+        weights = np.multiply.outer(w_pre[start : start + rows], w_suf).ravel()
+        keys = np.add.outer(key_pre[start : start + rows], key_suf).ravel()
+        if dense:
+            acc += np.bincount(keys, weights=weights, minlength=slots)
+        else:
+            uniq, inv = np.unique(keys, return_inverse=True)
+            parts.append((uniq, np.bincount(inv, weights=weights)))
+
+    if dense:
+        keys_out = np.flatnonzero(acc).astype(np.int64)
+        return keys_out, acc[keys_out]
+    keys_out, inv = np.unique(np.concatenate([u for u, _ in parts]), return_inverse=True)
+    weights_out = np.bincount(inv, weights=np.concatenate([s for _, s in parts]))
+    nz = weights_out != 0.0
+    return keys_out[nz], weights_out[nz]

@@ -1,6 +1,7 @@
-"""Compiled and pure-NumPy enumeration kernels against each other."""
+"""Brute-force enumeration kernel against exact weights and its own contract."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,36 @@ from eprsim import kernels
 def random_probs(rng, k):
     p = rng.random(k)
     return p / p.sum()
+
+
+def exact_weights(p, n):
+    """Multinomial weight of every count vector, by key, in exact rationals."""
+    k = len(p)
+    probs = [Fraction(float(x)) for x in p]
+    out = {}
+
+    def walk(counts, left):
+        if len(counts) == k - 1:
+            counts = counts + [left]
+            weight, rest = Fraction(1), n
+            for c, q in zip(counts, probs):
+                weight *= math.comb(rest, c) * q**c
+                rest -= c
+            out[sum(c * (n + 1) ** i for i, c in enumerate(counts))] = weight
+            return
+        for c in range(left + 1):
+            walk(counts + [c], left - c)
+
+    walk([], n)
+    return out
+
+
+def assert_exact(p, n, atol):
+    keys, weights = kernels.sequence_count_weights(p, n)
+    exact = {key: w for key, w in exact_weights(p, n).items() if w != 0}
+    assert keys.tolist() == sorted(exact)
+    want = np.array([float(exact[key]) for key in keys.tolist()])
+    np.testing.assert_allclose(weights, want, rtol=0.0, atol=atol)
 
 
 class TestContract:
@@ -59,38 +90,26 @@ class TestContract:
             kernels.sequence_count_weights(np.array([-0.5, 1.5]), 2)
         with pytest.raises(ValueError):
             kernels.sequence_count_weights(np.array([0.5, 0.5]), -1)
-        with pytest.raises(ValueError):
-            kernels.sequence_count_weights(np.array([0.5, 0.5]), 2, implementation="rust")
 
 
-class TestBackends:
-    def test_compiled_extension_present(self):
-        # the build is expected to produce the extension here; the python
-        # path stays fully supported and is exercised below either way
-        assert kernels.backend() in ("compiled", "python")
-
+class TestExactWeights:
     @pytest.mark.parametrize("k,n", [(2, 1), (2, 10), (3, 7), (4, 8), (5, 5), (6, 4)])
-    def test_agreement(self, k, n):
-        if not kernels.HAVE_COMPILED:
-            pytest.skip("compiled kernel unavailable")
+    def test_random_probabilities(self, k, n):
         rng = np.random.default_rng([k, n])
-        p = random_probs(rng, k)
-        keys_c, w_c = kernels.sequence_count_weights(p, n, implementation="compiled")
-        keys_p, w_p = kernels.sequence_count_weights(p, n, implementation="python")
-        np.testing.assert_array_equal(keys_c, keys_p)
-        np.testing.assert_allclose(w_c, w_p, rtol=0.0, atol=1e-12)
+        assert_exact(random_probs(rng, k), n, atol=1e-13)
 
-    def test_agreement_with_zeros(self):
-        if not kernels.HAVE_COMPILED:
-            pytest.skip("compiled kernel unavailable")
-        p = np.array([0.5, 0.0, 0.25, 0.25])
-        keys_c, w_c = kernels.sequence_count_weights(p, 6, implementation="compiled")
-        keys_p, w_p = kernels.sequence_count_weights(p, 6, implementation="python")
-        np.testing.assert_array_equal(keys_c, keys_p)
-        np.testing.assert_allclose(w_c, w_p, rtol=0.0, atol=1e-12)
+    def test_zero_category(self):
+        assert_exact(np.array([0.5, 0.0, 0.25, 0.25]), 6, atol=1e-13)
 
-    def test_sparse_python_path(self):
-        # (n+1)**k above the dense limit forces the dict-backed route
+    def test_coin_many_blocks(self):
+        # 2**23 sequences span 128 blocks; one running sum over all of them
+        # drifts to ~1e-12 here, per-block sums stay near 1e-14
+        assert_exact(np.array([0.3, 0.7]), 23, atol=1e-13)
+
+
+class TestDenseAndSparse:
+    def test_sparse_path(self):
+        # (n+1)**k above the dense limit takes the per-block unique route
         k, n = 12, 5
         assert (n + 1) ** k > kernels.DENSE_SLOT_LIMIT
         rng = np.random.default_rng(8)
@@ -100,9 +119,14 @@ class TestBackends:
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(keys) > 0)
 
-    def test_compiled_refuses_oversized_table(self):
-        if not kernels.HAVE_COMPILED:
-            pytest.skip("compiled kernel unavailable")
-        p = np.full(12, 1.0 / 12)
-        with pytest.raises(CapacityError, match="dense"):
-            kernels.sequence_count_weights(p, 5, implementation="compiled")
+    @pytest.mark.parametrize(
+        "p,n",
+        [(np.array([0.3, 0.7]), 19), (np.array([0.5, 0.0, 0.25, 0.25]), 9)],
+        ids=["coin", "zero-category"],
+    )
+    def test_paths_agree(self, monkeypatch, p, n):
+        dense = kernels.sequence_count_weights(p, n)
+        monkeypatch.setattr(kernels, "DENSE_SLOT_LIMIT", 0)
+        sparse = kernels.sequence_count_weights(p, n)
+        np.testing.assert_array_equal(dense[0], sparse[0])
+        np.testing.assert_allclose(dense[1], sparse[1], rtol=0.0, atol=1e-15)
