@@ -15,12 +15,10 @@ epsilon. It vanishes as N grows: almost every branch looks statistical.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import kernels
 from .errors import CapacityError, DimensionError, NormalizationError
@@ -31,6 +29,17 @@ WEIGHT_TOL = 1e-10
 BOUNDARY_TOL = 1e-12
 
 DEFAULT_COMPOSITION_CAP = 10**6
+
+# Most counts deviation_weight evaluates for one N (its window, below):
+# N up to about 7e8. The largest window takes 0.3 s and 45 MB on a 2-CPU
+# x86-64 host; larger N raise CapacityError instead of exhausting memory.
+DEVIATION_WINDOW_CAP = 1 << 20
+
+
+def _log_factorial(m: np.ndarray) -> np.ndarray:
+    """log(m!) for each entry of a 1-d array of nonnegative integers."""
+    x = np.asarray(m, dtype=np.float64) + 1.0
+    return np.fromiter(map(math.lgamma, x), dtype=np.float64, count=x.size)
 
 
 @dataclass(frozen=True)
@@ -155,35 +164,34 @@ def _decode_keys(keys: np.ndarray, k: int, n: int) -> np.ndarray:
 
 
 def _multinomial_table(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    k = flat.size
-    rows: list[tuple[int, ...]] = []
-    for comp in _compositions(n, k):
-        if any(c > 0 and flat[i] == 0.0 for i, c in enumerate(comp)):
-            continue
-        rows.append(comp)
-    counts = np.array(rows, dtype=np.int64).reshape(-1, k)
-    # order by the same mixed-radix key the enumeration route uses
-    strides = (n + 1) ** np.arange(k, dtype=np.int64)
-    order = np.argsort(counts @ strides, kind="stable")
-    counts = counts[order]
+    if flat.size == 1:
+        # one count vector; the log-factorial table below would take n steps
+        return np.array([[n]], dtype=np.int64), np.array([flat[0] ** n])
+    counts = _compositions(n, flat.size)
+    counts = counts[~np.any((counts > 0) & (flat == 0.0), axis=1)]
     with np.errstate(divide="ignore"):
         logp = np.where(flat > 0.0, np.log(np.where(flat > 0.0, flat, 1.0)), 0.0)
-    logw = (
-        gammaln(n + 1)
-        - gammaln(counts + 1).sum(axis=1)
-        + (counts * logp).sum(axis=1)
-    )
+    lf = _log_factorial(np.arange(n + 1))
+    logw = lf[n] - lf[counts].sum(axis=1) + (counts * logp).sum(axis=1)
     return counts, np.exp(logw)
 
 
-def _compositions(n: int, k: int):
-    # weak compositions of n into k parts
-    if k == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for tail in _compositions(n - head, k - 1):
-            yield (head, *tail)
+def _compositions(n: int, k: int) -> np.ndarray:
+    """Weak compositions of n into k parts, one per row, ascending by the
+    mixed-radix key ``sum_c row[c] * (n+1)**c`` the enumeration route uses.
+
+    Parts are placed from the most significant (last) column down, each
+    row branching into every value its remainder allows, so rows come out
+    in key order.
+    """
+    rows = np.empty((1, 0), dtype=np.int64)
+    left = np.array([n], dtype=np.int64)
+    for _ in range(k - 1):
+        reps = left + 1
+        part = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows = np.column_stack([part, np.repeat(rows, reps, axis=0)])
+        left = np.repeat(left, reps) - part
+    return np.column_stack([left, rows])
 
 
 def deviation_weight(p, n_pairs: int, pair: tuple[int, int], epsilon: float) -> float:
@@ -208,23 +216,34 @@ def deviation_weight(p, n_pairs: int, pair: tuple[int, int], epsilon: float) -> 
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     q = float(probs[i, j])
+    if q == 0.0 or q == 1.0:
+        return 0.0  # all weight sits at count 0 or N, frequency exactly q
 
-    ns = np.arange(n_pairs + 1)
+    # Hoeffding: pmf(m) <= exp(-2 t**2 / N) once |m - Nq| >= t, and for
+    # t >= sqrt(373 N) that is below the smallest double, so exp returns
+    # 0.0 for every count outside Nq +- (ceil(sqrt(373 N)) + 1); half is
+    # at least that.
+    half = math.isqrt(373 * n_pairs) + 2
+    centre = n_pairs * q
+    lo = max(0, math.floor(centre) - half)
+    hi = min(n_pairs, math.ceil(centre) + half)
+    if hi - lo + 1 > DEVIATION_WINDOW_CAP:
+        raise CapacityError(
+            f"deviation window of {hi - lo + 1} counts at N = {n_pairs} exceeds "
+            f"the cap {DEVIATION_WINDOW_CAP}"
+        )
+    ns = np.arange(lo, hi + 1)
     gap = np.abs(ns / n_pairs - q)
     # boundary band: |f - q| within BOUNDARY_TOL of epsilon is non-deviant
-    deviant = (gap > epsilon) & (gap - epsilon > BOUNDARY_TOL)
-    if q == 0.0:
-        return 0.0  # all weight sits at count 0, frequency exactly q
-    if q == 1.0:
-        return 0.0  # all weight sits at count N, frequency exactly q
+    ns = ns[(gap > epsilon) & (gap - epsilon > BOUNDARY_TOL)]
     logpmf = (
-        gammaln(n_pairs + 1)
-        - gammaln(ns + 1)
-        - gammaln(n_pairs - ns + 1)
+        math.lgamma(n_pairs + 1)
+        - _log_factorial(ns)
+        - _log_factorial(n_pairs - ns)
         + ns * math.log(q)
         + (n_pairs - ns) * math.log1p(-q)
     )
-    return float(np.exp(logpmf[deviant]).sum())
+    return float(np.exp(logpmf).sum())
 
 
 def sample_records(p, n_pairs: int, trials: int, seed: int) -> np.ndarray:

@@ -77,6 +77,13 @@ def sequence_count_weights(
             f"count-vector key space (n+1)**k = {slots} overflows 64-bit keys"
         )
 
+    if k == 1:
+        # a single sequence; the block sizing below would take n steps for it
+        weight = p[0] ** n
+        if weight == 0.0:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        return np.array([n], dtype=np.int64), np.array([weight])
+
     strides = (n + 1) ** np.arange(k, dtype=np.int64)
     suffix_len = 0
     while suffix_len < n and k ** (suffix_len + 1) <= BLOCK:

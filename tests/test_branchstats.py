@@ -1,12 +1,14 @@
 """Count-vector weights over N pairs: dual-route agreement and tails."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eprsim import branchstats
 from eprsim import (
     CapacityError,
     branch_count_distribution,
@@ -28,6 +30,22 @@ def random_p(rng, shape=(2, 2)):
     return p / p.sum()
 
 
+def deviant_binomial_weight(n, q, eps):
+    """Deviant binomial weight summed over all n + 1 counts, in pure Python."""
+    total = 0.0
+    for m in range(n + 1):
+        gap = abs(m / n - q)
+        if gap > eps and gap - eps > 1e-12:
+            total += math.exp(
+                math.lgamma(n + 1)
+                - math.lgamma(m + 1)
+                - math.lgamma(n - m + 1)
+                + m * math.log(q)
+                + (n - m) * math.log1p(-q)
+            )
+    return total
+
+
 class TestBranchCountDistribution:
     def test_aligned_singlet_single_pair(self):
         dist = branch_count_distribution(singlet_joint_probability(0.0), 1)
@@ -44,6 +62,12 @@ class TestBranchCountDistribution:
             assert len(dist) == 1
             assert dist.counts[0, 1, 0] == n
             assert dist.weights[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_single_record_pair(self):
+        # a 1x1 table has one count vector at any N, in both routes
+        for mode in ("multinomial", "enumerate"):
+            dist = branch_count_distribution(np.ones((1, 1)), 10**6, mode=mode)
+            assert dist.as_dict() == {(10**6,): 1.0}
 
     def test_uniform_two_pairs(self):
         dist = branch_count_distribution(UNIFORM, 2)
@@ -91,6 +115,28 @@ class TestBranchCountDistribution:
         dist = branch_count_distribution(UNIFORM, 7)
         np.testing.assert_array_equal(dist.counts.sum(axis=(1, 2)), 7)
 
+    @pytest.mark.parametrize("n,zero_category", [(80, False), (150, False), (80, True)])
+    def test_multinomial_beyond_enumeration(self, n, zero_category):
+        rng = np.random.default_rng([31, n])
+        p = random_p(rng)
+        if zero_category:
+            p[1, 0] = 0.0
+            p /= p.sum()
+        dist = branch_count_distribution(p, n)
+        live = np.count_nonzero(p)
+        assert len(dist) == math.comb(n + live - 1, live - 1)
+        flat = dist.counts.reshape(len(dist), -1)
+        keys = flat @ (n + 1) ** np.arange(4)
+        assert np.all(np.diff(keys) > 0)
+        heaviest = np.argsort(dist.weights)[-20:]
+        rows = np.concatenate([heaviest, rng.choice(len(dist), 20, replace=False)])
+        for row in rows:
+            exact, left = Fraction(1), n
+            for c, q in zip(flat[row].tolist(), p.reshape(-1).tolist()):
+                exact *= math.comb(left, c) * Fraction(q) ** c
+                left -= c
+            assert dist.weights[row] == pytest.approx(float(exact), abs=1e-13)
+
 
 class TestDeviationWeight:
     def test_single_pair_always_deviant(self):
@@ -110,6 +156,26 @@ class TestDeviationWeight:
     def test_quarter_probability_tails(self, n_pairs):
         got = deviation_weight(UNIFORM, n_pairs, (0, 0), 0.1)
         assert got == pytest.approx(TAIL_Q25_E01[n_pairs], abs=1e-12)
+        assert got == pytest.approx(TAIL_Q25_E01[n_pairs], rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "q,eps", [(0.5, 0.01), (0.5, 0.13), (0.01, 0.005), (0.01, 0.03)]
+    )
+    def test_window_matches_full_sum(self, monkeypatch, q, eps):
+        # a cap of N/2 counts fails unless the summed window is narrower
+        # than [0, N]; eps = 0.13 and 0.03 put all the weight (1.7e-299,
+        # 4.0e-228) just inside the window's edge
+        n = 20000
+        monkeypatch.setattr(branchstats, "DEVIATION_WINDOW_CAP", n // 2)
+        p = np.array([[q, 1.0 - q], [0.0, 0.0]])
+        want = deviant_binomial_weight(n, q, eps)
+        assert want > 0.0
+        got = deviation_weight(p, n, (0, 0), eps)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_window_cap_enforced(self):
+        with pytest.raises(CapacityError, match="window"):
+            deviation_weight(UNIFORM, 10**15, (0, 0), 0.1)
 
     def test_convergence_and_chernoff_margin(self):
         values = [deviation_weight(UNIFORM, n, (0, 0), 0.1) for n in (10, 100, 1000)]

@@ -151,6 +151,16 @@ class TestBranches:
         )
         assert code == 2
 
+    def test_oversized_n_is_capacity_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "branches", "--n", str(10**15), "--theta", "90",
+            "--epsilon", "0.1", "--pair", "0,0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "window" in err and "exceeds the cap" in err
+
 
 class TestNosignal:
     def test_pass_exit_zero(self, capsys):
@@ -229,6 +239,17 @@ class TestEntryPoints:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["result"]["p"] == [[0.125, 0.375], [0.375, 0.125]]
+
+    def test_no_scipy_loaded(self):
+        script = (
+            "import eprsim, eprsim.cli, sys; "
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "assert not loaded, loaded"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -93,7 +93,9 @@ class TestContract:
 
 
 class TestExactWeights:
-    @pytest.mark.parametrize("k,n", [(2, 1), (2, 10), (3, 7), (4, 8), (5, 5), (6, 4)])
+    @pytest.mark.parametrize(
+        "k,n", [(1, 10**6), (2, 1), (2, 10), (3, 7), (4, 8), (5, 5), (6, 4)]
+    )
     def test_random_probabilities(self, k, n):
         rng = np.random.default_rng([k, n])
         assert_exact(random_probs(rng, k), n, atol=1e-13)
