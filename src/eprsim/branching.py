@@ -19,6 +19,7 @@ and equal branches get equal representations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,13 +27,13 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    CapacityError,
     ConsistencyError,
     DimensionError,
     NormalizationError,
     SlotError,
 )
 
-STATE_TOL = 1e-12
 DEFAULT_PRUNE_TOL = 1e-14
 
 Register = tuple["OutcomeLabel", ...]
@@ -55,19 +56,20 @@ class ObservableBasis:
     basis, i.e. ``matrix[i, j]`` is the overlap of reference ket ``i``
     with basis ket ``j``. Identity is by ``basis_id`` alone: a basis
     rebuilt with the same id is the same observable.
+
+    The matrix must be unitary within ``linalg.ALGEBRAIC_TOL`` (1e-12,
+    entrywise on ``m^dagger m - 1``), the tolerance the kets it puts into
+    every measured branch are checked at; otherwise UnitarityError.
     """
 
     basis_id: int
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = linalg.as_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise DimensionError(f"basis matrix must be square, got {m.shape}")
-        linalg.require_unitary(m, name=f"basis {self.basis_id}")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        m = linalg.require_unitary(
+            self.matrix, tol=linalg.ALGEBRAIC_TOL, name=f"basis {self.basis_id}"
+        )
+        object.__setattr__(self, "matrix", linalg.frozen_copy(m))
 
     @property
     def dim(self) -> int:
@@ -113,13 +115,11 @@ class Branch:
         frozen = []
         for slots, ket in self.blocks:
             ket = linalg.as_ket(ket)
-            if not linalg.is_normalized(ket, tol=STATE_TOL):
+            if not linalg.is_normalized(ket):
                 raise NormalizationError(
                     f"block {slots} ket has norm {linalg.norm(ket)!r}, expected 1"
                 )
-            ket = ket.copy()
-            ket.flags.writeable = False
-            frozen.append((tuple(int(s) for s in slots), ket))
+            frozen.append((tuple(int(s) for s in slots), linalg.frozen_copy(ket)))
         object.__setattr__(self, "blocks", tuple(frozen))
         object.__setattr__(
             self, "registers", tuple(tuple(r) for r in self.registers)
@@ -137,15 +137,11 @@ class Branch:
         raise SlotError(f"no block contains particle slot {slot}")
 
     def state_vector(self, dims: Sequence[int]) -> np.ndarray:
-        """Full joint ket over all slots, row-major in ascending slot order."""
-        vec = np.ones(1, dtype=np.complex128)
-        order: list[int] = []
-        for slots, ket in self.blocks:
-            vec = np.kron(vec, ket)
-            order.extend(slots)
-        axes = np.argsort(order)
-        shaped = vec.reshape([dims[s] for s in order])
-        return np.transpose(shaped, axes).reshape(-1)
+        """Full joint ket over all slots, row-major in ascending slot order.
+
+        Raises CapacityError above ``linalg.DEFAULT_TENSOR_CAP`` amplitudes.
+        """
+        return _joint_ket(self.blocks, dims)
 
 
 @dataclass(frozen=True)
@@ -195,11 +191,7 @@ class BranchedState:
                     "coherent duplicates must be merged"
                 )
             seen.add(br.registers)
-        total = self.total_weight()
-        if abs(total - 1.0) > STATE_TOL:
-            raise NormalizationError(
-                f"branch weights sum to {total!r}, expected 1 within {STATE_TOL}"
-            )
+        linalg.require_unit_total(self.total_weight(), "branch weights")
 
     def total_weight(self) -> float:
         return float(sum(br.weight for br in self.branches))
@@ -216,9 +208,6 @@ def initial_state(
     kets = [linalg.as_ket(k) for k in particle_kets]
     if not kets:
         raise DimensionError("need at least one particle")
-    for i, ket in enumerate(kets):
-        if not linalg.is_normalized(ket, tol=STATE_TOL):
-            raise NormalizationError(f"particle {i} ket is not normalized")
     dims = tuple(k.size for k in kets)
     blocks = tuple(((i,), ket) for i, ket in enumerate(kets))
     branch = Branch(1.0 + 0.0j, blocks, ((),) * observer_count)
@@ -233,11 +222,7 @@ def from_coefficients(coeffs, observer_count: int = 2) -> BranchedState:
     with a ``matrix`` attribute.
     """
     m = linalg.as_matrix(getattr(coeffs, "matrix", coeffs))
-    total = float(np.sum(np.abs(m) ** 2))
-    if abs(total - 1.0) > STATE_TOL:
-        raise NormalizationError(
-            f"coefficient magnitudes sum to {total!r}, expected 1"
-        )
+    linalg.require_unit_total(np.abs(m) ** 2, "coefficient magnitudes")
     d1, d2 = m.shape
     joint = m.reshape(-1)  # row-major matches the (i, j) -> i*d2 + j layout
     branch = Branch(1.0 + 0.0j, (((0, 1), joint),), ((),) * observer_count)
@@ -371,7 +356,7 @@ def remeasure_consistency(
             raise ConsistencyError(
                 f"repeat measurement produced an unexpected history {br.registers}"
             )
-        if abs(abs(br.amplitude) - abs(parents[key])) > STATE_TOL:
+        if abs(abs(br.amplitude) - abs(parents[key])) > linalg.ALGEBRAIC_TOL:
             raise ConsistencyError(
                 "repeat measurement changed a branch amplitude modulus"
             )
@@ -397,8 +382,10 @@ def coherent_combine(
     """Coherent superposition of branched states with given weights.
 
     Branches with identical register histories are merged by summing
-    amplitudes (same blocks) or by adding full joint kets (different
-    blocks). The weights must leave the result normalized.
+    amplitudes (same kets) or by adding their joint kets over only the
+    slots where they differ; CapacityError if that joint ket would exceed
+    ``linalg.DEFAULT_TENSOR_CAP`` amplitudes. The weights must leave the
+    result normalized.
     """
     if not terms:
         raise ValueError("need at least one term")
@@ -429,9 +416,37 @@ def _gauge_factor(vec: np.ndarray, vnorm: float) -> complex:
     return vnorm * (lead / abs(lead))
 
 
+def _joint_ket(blocks: Sequence[Block], dims: Sequence[int]) -> np.ndarray:
+    """Joint ket of ``blocks`` over the union of their slots, row-major in
+    ascending slot order.
+
+    Raises CapacityError above ``linalg.DEFAULT_TENSOR_CAP`` amplitudes,
+    before anything is allocated.
+    """
+    order = [s for slots, _ in blocks for s in slots]
+    shape = [dims[s] for s in order]
+    size = math.prod(shape)
+    if size > linalg.DEFAULT_TENSOR_CAP:
+        raise CapacityError(
+            f"joint ket over {len(order)} slots has {size} amplitudes, "
+            f"above the cap of {linalg.DEFAULT_TENSOR_CAP}"
+        )
+    vec = np.ones(1, dtype=np.complex128)
+    for _, ket in blocks:
+        vec = np.multiply.outer(vec, ket)  # np.kron's products, without its overhead
+    return np.transpose(vec.reshape(shape), np.argsort(order)).reshape(-1)
+
+
 def _merge(
     children: list[Branch], dims: tuple[int, ...], prune_tol: float
 ) -> tuple[Branch, ...]:
+    """Merge branches with equal register histories coherently.
+
+    Over the finest partition that every member's blocks refine, only the
+    parts where members differ are joined into one block, summed and
+    gauged as ``measure`` gauges, so amplitudes stay comparable with the
+    unmerged route. With no differing part the amplitudes add.
+    """
     groups: dict[tuple[Register, ...], list[Branch]] = {}
     for br in children:
         groups.setdefault(br.registers, []).append(br)
@@ -440,51 +455,44 @@ def _merge(
         if len(group) == 1:
             out.append(group[0])
             continue
-        first = group[0]
-        same_partition = all(
-            [s for s, _ in br.blocks] == [s for s, _ in first.blocks]
-            for br in group[1:]
-        )
-        if same_partition:
-            differing = [
-                bi
-                for bi in range(len(first.blocks))
-                if any(
-                    not np.allclose(
-                        br.blocks[bi][1], first.blocks[bi][1], rtol=0.0, atol=STATE_TOL
-                    )
-                    for br in group[1:]
-                )
-            ]
-            if not differing:
-                amp = sum(br.amplitude for br in group)
-                if abs(amp) < prune_tol:
-                    continue
-                out.append(Branch(amp, first.blocks, registers))
-                continue
-            if len(differing) == 1:
-                # the group is a coherent sum within one block: combine that
-                # block's kets and gauge it exactly as measure() would, so
-                # amplitudes stay comparable with the unmerged route
-                t = differing[0]
-                combined = np.zeros_like(first.blocks[t][1])
-                for br in group:
-                    combined = combined + br.amplitude * br.blocks[t][1]
-                cnorm = float(np.linalg.norm(combined))
-                if cnorm < prune_tol:
-                    continue
-                factor = _gauge_factor(combined, cnorm)
-                blocks = list(first.blocks)
-                blocks[t] = (first.blocks[t][0], combined / factor)
-                out.append(Branch(factor, tuple(blocks), registers))
-                continue
-        vec = np.zeros(int(np.prod(dims)), dtype=np.complex128)
+        # part[s] labels the part holding slot s by its lowest slot; two
+        # slots share a part when any member holds them in one block
+        part = list(range(len(dims)))
         for br in group:
-            vec += br.amplitude * br.state_vector(dims)
-        vnorm = float(np.linalg.norm(vec))
-        if vnorm < prune_tol:
+            for slots, _ in br.blocks:
+                joined = {part[s] for s in slots}
+                low = min(joined)
+                part = [low if p in joined else p for p in part]
+        kets = [
+            {p: _joint_ket([b for b in br.blocks if part[b[0][0]] == p], dims) for p in set(part)}
+            for br in group
+        ]
+        differing = {
+            p
+            for p, ket in kets[0].items()
+            if any(
+                not np.allclose(k[p], ket, rtol=0.0, atol=linalg.ALGEBRAIC_TOL)
+                for k in kets[1:]
+            )
+        }
+        first = group[0]
+        if not differing:
+            amp = sum(br.amplitude for br in group)
+            if abs(amp) >= prune_tol:
+                out.append(Branch(amp, first.blocks, registers))
             continue
-        factor = _gauge_factor(vec, vnorm)
-        all_slots = tuple(range(len(dims)))
-        out.append(Branch(factor, ((all_slots, vec / factor),), registers))
+        combined = sum(
+            br.amplitude
+            * _joint_ket([b for b in br.blocks if part[b[0][0]] in differing], dims)
+            for br in group
+        )
+        cnorm = float(np.linalg.norm(combined))
+        if cnorm < prune_tol:
+            continue
+        factor = _gauge_factor(combined, cnorm)
+        blocks = [b for b in first.blocks if part[b[0][0]] not in differing]
+        at = next(i for i, b in enumerate(first.blocks) if part[b[0][0]] in differing)
+        union = tuple(s for s in range(len(dims)) if part[s] in differing)
+        blocks.insert(at, (union, combined / factor))
+        out.append(Branch(factor, tuple(blocks), registers))
     return tuple(out)

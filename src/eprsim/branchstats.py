@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .errors import CapacityError, DimensionError, NormalizationError
+from . import kernels, linalg
+from .errors import CapacityError, DimensionError
 
 WEIGHT_TOL = 1e-10
 
@@ -70,17 +70,9 @@ class CountDistribution:
             raise ValueError(f"each count vector must sum to {self.total}")
         if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite and nonnegative")
-        total_weight = float(weights.sum())
-        if abs(total_weight - 1.0) > WEIGHT_TOL:
-            raise NormalizationError(
-                f"count-vector weights sum to {total_weight!r}, expected 1"
-            )
-        counts = counts.copy()
-        weights = weights.copy()
-        counts.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "weights", weights)
+        linalg.require_unit_total(weights, "count-vector weights", tol=WEIGHT_TOL)
+        object.__setattr__(self, "counts", linalg.frozen_copy(counts))
+        object.__setattr__(self, "weights", linalg.frozen_copy(weights))
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
         object.__setattr__(self, "total", int(self.total))
 
@@ -96,15 +88,7 @@ class CountDistribution:
 
 
 def _probs(p) -> np.ndarray:
-    m = np.asarray(getattr(p, "matrix", p), dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise DimensionError(f"probability table must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)) or np.any(m < 0.0):
-        raise ValueError("probabilities must be finite and nonnegative")
-    total = float(m.sum())
-    if abs(total - 1.0) > 1e-12:
-        raise NormalizationError(f"probabilities sum to {total!r}, expected 1")
-    return m
+    return linalg.as_probability_table(getattr(p, "matrix", p))
 
 
 def branch_count_distribution(

@@ -21,9 +21,8 @@ import numpy as np
 
 from . import linalg
 from .branching import BranchedState, ObservableBasis, from_coefficients, identity_basis, measure
-from .errors import DimensionError, NormalizationError
+from .errors import DimensionError
 
-STATE_TOL = 1e-12
 NO_SIGNALING_TOL = 1e-10
 
 
@@ -35,14 +34,8 @@ class CoefficientMatrix:
 
     def __post_init__(self) -> None:
         m = linalg.as_matrix(self.matrix)
-        total = float(np.sum(np.abs(m) ** 2))
-        if abs(total - 1.0) > STATE_TOL:
-            raise NormalizationError(
-                f"coefficient magnitudes sum to {total!r}, expected 1"
-            )
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        linalg.require_unit_total(np.abs(m) ** 2, "coefficient magnitudes")
+        object.__setattr__(self, "matrix", linalg.frozen_copy(m))
 
     @property
     def d1(self) -> int:
@@ -61,14 +54,8 @@ class KMatrix:
 
     def __post_init__(self) -> None:
         m = linalg.as_matrix(self.matrix)
-        total = float(np.sum(np.abs(m) ** 2))
-        if abs(total - 1.0) > STATE_TOL:
-            raise NormalizationError(
-                f"record amplitudes have total weight {total!r}, expected 1"
-            )
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        linalg.require_unit_total(np.abs(m) ** 2, "record amplitude weights")
+        object.__setattr__(self, "matrix", linalg.frozen_copy(m))
 
 
 @dataclass(frozen=True)
@@ -78,21 +65,8 @@ class JointDistribution:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.size == 0:
-            raise DimensionError(
-                f"distribution must be nonempty 2-D, got shape {m.shape}"
-            )
-        if not np.all(np.isfinite(m)) or np.any(m < 0.0):
-            raise ValueError("probabilities must be finite and nonnegative")
-        total = float(m.sum())
-        if abs(total - 1.0) > STATE_TOL:
-            raise NormalizationError(
-                f"probabilities sum to {total!r}, expected 1"
-            )
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        m = linalg.as_probability_table(self.matrix)
+        object.__setattr__(self, "matrix", linalg.frozen_copy(m))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, UnitarityError
+from .errors import CapacityError, DimensionError, NormalizationError, UnitarityError
 
 # Default tolerances: algebraic identities vs accumulated products.
+# ALGEBRAIC_TOL is also the state tolerance: unit norms and unit totals of
+# states, kets, bases and distributions are checked at it.
 ALGEBRAIC_TOL = 1e-12
 UNITARY_TOL = 1e-10
 
@@ -86,24 +88,53 @@ def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
     Deviation is measured entrywise (max norm), directly comparable to the
     tolerance conventions used elsewhere in the package.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"unitarity check needs a square matrix, got {m.shape}")
-    dev = m.conj().T @ m - np.eye(m.shape[0])
-    return float(np.max(np.abs(dev))) <= tol
+    return _unitarity_deviation(m, "matrix")[1] <= tol
 
 
 def require_unitary(m, tol: float = UNITARY_TOL, name: str = "matrix") -> np.ndarray:
     """Return ``m`` validated as unitary, else raise UnitarityError."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{name} must be square, got {m.shape}")
-    dev = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    m, dev = _unitarity_deviation(m, name)
     if dev > tol:
         raise UnitarityError(
             f"{name} deviates from unitarity by {dev:.3e} (tolerance {tol})"
         )
     return m
+
+
+def _unitarity_deviation(m, name: str) -> tuple[np.ndarray, float]:
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionError(f"{name} must be square, got {m.shape}")
+    return m, float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+
+
+def require_unit_total(weights, what: str, tol: float = ALGEBRAIC_TOL) -> None:
+    """Raise NormalizationError unless ``weights`` sum to 1 within ``tol``.
+
+    ``weights`` is an array of nonnegative weights or their precomputed
+    total; ``what`` names them in the message.
+    """
+    total = float(np.sum(weights))
+    if abs(total - 1.0) > tol:
+        raise NormalizationError(f"{what} sum to {total!r}, expected 1 within {tol}")
+
+
+def as_probability_table(x) -> np.ndarray:
+    """Validate and convert ``x`` to a 2-D float64 table of probabilities."""
+    m = np.asarray(x, dtype=np.float64)
+    if m.ndim != 2 or m.size == 0:
+        raise DimensionError(f"probability table must be nonempty 2-D, got shape {m.shape}")
+    if not np.all(np.isfinite(m)) or np.any(m < 0.0):
+        raise ValueError("probabilities must be finite and nonnegative")
+    require_unit_total(m, "probabilities")
+    return m
+
+
+def frozen_copy(a: np.ndarray) -> np.ndarray:
+    """Read-only copy of ``a``, for immutable result objects."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from eprsim import (
     Branch,
     BranchedState,
+    CapacityError,
     ConsistencyError,
     DimensionError,
     NormalizationError,
@@ -48,6 +49,17 @@ class TestObservableBasis:
     def test_columns_are_kets(self):
         basis = ObservableBasis(1, np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_array_equal(basis.ket(0), [0.0, 1.0])
+
+    def test_near_unitary_beyond_state_tolerance_rejected(self):
+        # deviation 1.0e-11: inside 1e-10, but the measured kets would fail
+        # the 1e-12 norm check on every branch
+        with pytest.raises(UnitarityError):
+            ObservableBasis(1, random_unitary(2, 3) * (1 + 5e-12))
+
+    def test_near_unitary_within_state_tolerance_measures(self):
+        basis = ObservableBasis(1, random_unitary(2, 3) * (1 + 5e-14))
+        state = measure(initial_state([plus_ket()], 1), 0, 0, basis)
+        assert state.total_weight() == pytest.approx(1.0, abs=1e-12)
 
     def test_matrix_read_only(self):
         basis = identity_basis(2)
@@ -304,6 +316,78 @@ class TestCoherentCombine:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             coherent_combine([])
+
+
+def _product_pair(n, differ, seed):
+    """Two n-qubit product kets equal except on the ``differ`` slots, where
+    the second is orthogonal to the first, so equal weights RT2 normalize
+    their sum."""
+    rng = np.random.default_rng(seed)
+    a = [random_ket(2, rng) for _ in range(n)]
+    b = list(a)
+    for s in differ:
+        b[s] = np.array([-a[s][1].conjugate(), a[s][0].conjugate()])
+    return a, b
+
+
+class TestMergeJoinsOnlyDifferingBlocks:
+    # 21 qubits: 2**21 amplitudes over all slots, one step above the cap
+    N = 21
+
+    def test_two_differing_slots_join_into_one_block(self):
+        a, b = _product_pair(self.N, (0, 1), 0)
+        combined = coherent_combine(
+            [(RT2, initial_state(a, 1)), (RT2, initial_state(b, 1))]
+        )
+        (branch,) = combined.branches
+        assert [slots for slots, _ in branch.blocks] == [(0, 1)] + [
+            (s,) for s in range(2, self.N)
+        ]
+        want = RT2 * np.kron(a[0], a[1]) + RT2 * np.kron(b[0], b[1])
+        np.testing.assert_allclose(
+            branch.amplitude * branch.blocks[0][1], want, rtol=0.0, atol=1e-15
+        )
+        for s, (_, ket) in enumerate(branch.blocks[1:], start=2):
+            np.testing.assert_array_equal(ket, a[s])
+
+    def test_every_slot_differing_exceeds_cap(self):
+        a, b = _product_pair(self.N, range(self.N), 1)
+        with pytest.raises(CapacityError):
+            coherent_combine([(RT2, initial_state(a, 1)), (RT2, initial_state(b, 1))])
+
+    def test_state_vector_over_cap_refused(self):
+        (branch,) = initial_state([plus_ket()] * self.N, 1).branches
+        with pytest.raises(CapacityError):
+            branch.state_vector((2,) * self.N)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_gauge_free_linear_combination(self, k):
+        # product states on 5 qutrits differing on k slots, one side measured
+        # on a shared slot first; the merge must equal the linear combination
+        rng = np.random.default_rng([11, k])
+        dims = (3,) * 5
+        a = [random_ket(3, rng) for _ in dims]
+        b = list(a)
+        for s in range(k):
+            b[s] = random_ket(3, rng)
+        alpha, beta = rng.normal(size=2) + 1j * rng.normal(size=2)
+        va = initial_state(a, 1).branches[0].state_vector(dims)
+        vb = initial_state(b, 1).branches[0].state_vector(dims)
+        scale = np.linalg.norm(alpha * va + beta * vb)
+        alpha, beta = alpha / scale, beta / scale
+        basis = ObservableBasis(1, random_unitary(3, rng))
+        sa = measure(initial_state(a, 1), 4, 0, basis)
+        sb = measure(initial_state(b, 1), 4, 0, basis)
+        combined = coherent_combine([(alpha, sa), (beta, sb)])
+        parts = [
+            {br.registers: br.amplitude * br.state_vector(dims) for br in st.branches}
+            for st in (sa, sb)
+        ]
+        assert {br.registers for br in combined.branches} == set(parts[0])
+        for br in combined.branches:
+            want = alpha * parts[0][br.registers] + beta * parts[1][br.registers]
+            got = br.amplitude * br.state_vector(dims)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 class TestStateInvariants:
